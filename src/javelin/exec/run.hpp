@@ -41,9 +41,22 @@
 // counters, per-(thread, level) busy/wait time, and (when the trace
 // session is on) per-thread per-level spans — aggregated into the
 // obs::ExecStats of the caller's ExecObs, returned next to the ExecStatus.
+//
+// Tail: a region may carry a second phase that reads the schedule's outputs
+// (the fused solve+SpMV streams its SpMV this way). After its items each
+// thread runs its ExecTail chunks in the same region — under kP2P behind
+// sparsified waits on the same progress counters, under kBarrier after the
+// last level barrier, on a hybrid schedule after one closing team barrier
+// (serial-segment publishes come before the rows they cover finish, so the
+// counters cannot order the tail there). Teams of one and the short-team
+// fallback run the tail rows in order after the serial sweep. An aborted
+// region skips the tail; chunk waits poll the same AbortFlag. Tail-less
+// regions instantiate with detail::NoTail, whose sites are `if constexpr`
+// eliminated like NoObs.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -73,6 +86,23 @@ struct ExecStatus {
   bool ok() const noexcept { return outcome == ExecOutcome::kOk; }
 };
 
+/// Chunk layout of a region tail (see the header comment); a non-owning
+/// view whose owner must outlive the call. Thread t runs chunks
+/// [thread_ptr[t], thread_ptr[t+1]); chunk c covers tail rows
+/// [chunk_begin[c], chunk_end[c]) and, under kP2P, first waits until thread
+/// wait_thread[w] has published wait_count[w] items, for w in
+/// [wait_ptr[c], wait_ptr[c+1]). The layout targets the schedule's team;
+/// the serial paths ignore it and run tail rows [0, rows) in order.
+struct ExecTail {
+  index_t rows = 0;
+  std::span<const index_t> thread_ptr;
+  std::span<const index_t> chunk_begin;
+  std::span<const index_t> chunk_end;
+  std::span<const index_t> wait_ptr;
+  std::span<const index_t> wait_thread;
+  std::span<const index_t> wait_count;
+};
+
 namespace detail {
 
 /// True when RowFn participates in cooperative abort by returning bool.
@@ -97,6 +127,16 @@ inline bool exec_row(RowFn& row_fn, index_t row, int t) {
 struct NoObs {
   static constexpr bool kOn = false;
 };
+
+/// Tail function of a region without a tail; every tail site below is
+/// `if constexpr` on kHasTail, so such regions compile without them.
+struct NoTail {
+  void operator()(index_t, int) const noexcept {}
+};
+
+template <class TailFn>
+inline constexpr bool kHasTail =
+    !std::is_same_v<std::remove_cvref_t<TailFn>, NoTail>;
 
 /// Stalls shorter than this are counters-only; longer ones also get a trace
 /// event (keeps trace files focused on the waits that explain lost time).
@@ -158,14 +198,59 @@ ExecStatus exec_run_serial_obs(const ExecSchedule& s, RowFn& row_fn,
   return {};
 }
 
+/// Thread t's tail chunks. `wait` selects the P2P protocol (chunk waits on
+/// `progress`); the barrier and hybrid paths call this only after a
+/// team-wide barrier, unguarded. Stops as soon as the region aborts.
+template <class TailFn, class Obs>
+void run_tail_chunks(const ExecTail& tail, TailFn& tail_fn, int t, bool wait,
+                     ProgressCounters& progress, int spin_budget,
+                     AbortFlag* abort, Obs& obs) {
+  for (index_t c = tail.thread_ptr[static_cast<std::size_t>(t)];
+       c < tail.thread_ptr[static_cast<std::size_t>(t) + 1]; ++c) {
+    if (abort != nullptr && abort->aborted()) return;
+    [[maybe_unused]] std::int64_t w0 = 0;
+    if constexpr (Obs::kOn) w0 = obs::now_ns();
+    if (wait) {
+      for (index_t w = tail.wait_ptr[static_cast<std::size_t>(c)];
+           w < tail.wait_ptr[static_cast<std::size_t>(c) + 1]; ++w) {
+        const int pt =
+            static_cast<int>(tail.wait_thread[static_cast<std::size_t>(w)]);
+        const index_t pc = tail.wait_count[static_cast<std::size_t>(w)];
+        bool arrived;
+        if constexpr (Obs::kOn) {
+          arrived =
+              progress.wait_for_counted(pt, pc, spin_budget, abort, obs.slot(t));
+        } else {
+          arrived = progress.wait_for(pt, pc, spin_budget, abort);
+        }
+        if (!arrived) return;
+      }
+    }
+    [[maybe_unused]] std::int64_t w1 = 0;
+    if constexpr (Obs::kOn) {
+      w1 = obs::now_ns();
+      obs.slot(t).wait_ns += static_cast<std::uint64_t>(w1 - w0);
+    }
+    for (index_t r = tail.chunk_begin[static_cast<std::size_t>(c)];
+         r < tail.chunk_end[static_cast<std::size_t>(c)]; ++r) {
+      tail_fn(r, t);
+    }
+    if constexpr (Obs::kOn) {
+      obs.slot(t).busy_ns += static_cast<std::uint64_t>(obs::now_ns() - w1);
+    }
+  }
+}
+
 /// The one region body both gating levels instantiate; see the header
-/// comment. Structure (and, for NoObs, codegen) matches the historical
-/// exec_run exactly.
-template <class RowFn, class Obs>
+/// comment. Structure (and, for NoObs without a tail, codegen) matches the
+/// historical exec_run exactly. `tail` is null exactly when TailFn is
+/// NoTail.
+template <class RowFn, class Obs, class TailFn>
 ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
                          ProgressCounters& progress, AbortFlag* external_abort,
-                         Obs& obs) {
+                         Obs& obs, const ExecTail* tail, TailFn& tail_fn) {
   constexpr bool kGuarded = kGuardedRowFn<std::remove_reference_t<RowFn>>;
+  constexpr bool kTail = kHasTail<TailFn>;
   AbortFlag local_abort;
   AbortFlag* abort = external_abort;
   if constexpr (kGuarded) {
@@ -175,12 +260,30 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
   // the historical hot path compiles with zero abort polling.
   const bool watch = abort != nullptr;
 
-  if (s.threads <= 1) {
+  const auto run_serial = [&]() -> ExecStatus {
+    ExecStatus st;
     if constexpr (Obs::kOn) {
-      return exec_run_serial_obs(s, row_fn, abort, obs);
+      st = exec_run_serial_obs(s, row_fn, abort, obs);
     } else {
-      return exec_run_serial(s, row_fn, abort);
+      st = exec_run_serial(s, row_fn, abort);
     }
+    if constexpr (kTail) {
+      if (st.ok()) {
+        [[maybe_unused]] std::int64_t t0 = 0;
+        if constexpr (Obs::kOn) t0 = obs::now_ns();
+        for (index_t r = 0; r < tail->rows; ++r) tail_fn(r, 0);
+        if constexpr (Obs::kOn) {
+          obs.slot(0).busy_ns += static_cast<std::uint64_t>(obs::now_ns() - t0);
+        }
+      }
+    }
+    return st;
+  };
+  if (s.threads <= 1) return run_serial();
+  if constexpr (kTail) {
+    JAVELIN_CHECK(tail->thread_ptr.size() ==
+                      static_cast<std::size_t>(s.threads) + 1,
+                  "exec_run: tail layout targets a different team");
   }
 
   if (s.backend == ExecBackend::kP2P || s.hybrid()) {
@@ -248,8 +351,10 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
           obs.add_level_wait(t, l, static_cast<std::uint64_t>(b1 - b0));
         }
-        if (!turned) break;
-        if (watch && abort->aborted()) break;
+        if (!turned || (watch && abort->aborted())) {
+          live = false;
+          break;
+        }
         if (reg == LevelRegime::kSerial) {
           // Thread 0 runs the whole segment's rows in serial order; the
           // other threads skip straight to the bookkeeping. Everyone
@@ -387,6 +492,24 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         }
         l = seg_end;
       }
+      if constexpr (kTail) {
+        if (live) {
+          bool turned;
+          if constexpr (Obs::kOn) {
+            const std::int64_t b0 = obs::now_ns();
+            turned =
+                barrier.arrive_and_wait_counted(spin_budget, abort, obs.slot(t));
+            obs.slot(t).barrier_ns +=
+                static_cast<std::uint64_t>(obs::now_ns() - b0);
+          } else {
+            turned = barrier.arrive_and_wait(spin_budget, abort);
+          }
+          if (turned) {
+            run_tail_chunks(*tail, tail_fn, t, /*wait=*/false, progress,
+                            spin_budget, abort, obs);
+          }
+        }
+      }
     } else if (s.backend == ExecBackend::kBarrier) {
       const int t = thread_id();
       const int spin_budget =
@@ -395,7 +518,8 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       if constexpr (Obs::kOn) {
         if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
       }
-      for (index_t l = 0; l < s.num_levels; ++l) {
+      index_t l = 0;
+      for (; l < s.num_levels; ++l) {
         if (watch && abort->aborted()) break;
         const index_t base = s.level_ptr[static_cast<std::size_t>(l)];
         const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] - base;
@@ -440,6 +564,13 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           if (!barrier.arrive_and_wait(spin_budget, abort)) break;
         }
       }
+      if constexpr (kTail) {
+        // Every level barrier turned: all rows are finished.
+        if (l == s.num_levels) {
+          run_tail_chunks(*tail, tail_fn, t, /*wait=*/false, progress,
+                          spin_budget, abort, obs);
+        }
+      }
     } else {
       const int t = thread_id();
       const int spin_budget =
@@ -452,7 +583,8 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
       }
       index_t done = 0;
-      for (index_t i = lo; i < hi; ++i) {
+      index_t i = lo;
+      for (; i < hi; ++i) {
         if (watch && abort->aborted()) break;
         [[maybe_unused]] index_t lvl = 0;
         [[maybe_unused]] std::int64_t w0 = 0;
@@ -521,18 +653,20 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           buf->end_at(obs.name(), obs::now_ns());
         }
       }
+      if constexpr (kTail) {
+        // Each chunk waits on the same counters the items published; the
+        // thread's own item waits seeded the pruning (program order).
+        if (i == hi) {
+          run_tail_chunks(*tail, tail_fn, t, /*wait=*/true, progress,
+                          spin_budget, abort, obs);
+        }
+      }
     }
   }
   if (abort != nullptr && abort->aborted()) {
     return {ExecOutcome::kAborted, abort->row()};
   }
-  if (fallback) {
-    if constexpr (Obs::kOn) {
-      return exec_run_serial_obs(s, row_fn, abort, obs);
-    } else {
-      return exec_run_serial(s, row_fn, abort);
-    }
-  }
+  if (fallback) return run_serial();
   return {};
 }
 
@@ -558,8 +692,22 @@ ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
                     ProgressCounters& progress,
                     AbortFlag* external_abort = nullptr) {
   detail::NoObs no_obs;
+  detail::NoTail no_tail;
   return detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
-                               external_abort, no_obs);
+                               external_abort, no_obs, nullptr, no_tail);
+}
+
+/// exec_run with a tail: after its items, each thread runs its chunks of
+/// `tail`, calling `tail_fn(row, thread)` once per tail row, in the same
+/// region (see the header comment for the per-backend ordering). The tail
+/// must not throw and cannot veto.
+template <class RowFn, class TailFn>
+ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
+                    ProgressCounters& progress, const ExecTail& tail,
+                    TailFn&& tail_fn, AbortFlag* external_abort = nullptr) {
+  detail::NoObs no_obs;
+  return detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
+                               external_abort, no_obs, &tail, tail_fn);
 }
 
 /// Convenience overload with per-call counters (one-shot executions such as
@@ -577,14 +725,31 @@ ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
 /// not change), plus spin-wait telemetry and — when the trace session is
 /// enabled — per-thread per-level spans. The sweep's measurements land in
 /// `eo.stats(kind)`, the ExecStats aggregate next to the returned
-/// ExecStatus.
+/// ExecStatus. Tail waits and tail rows count toward the thread totals
+/// only (tail rows have no level).
 template <class RowFn>
 ExecStatus exec_run_obs(const ExecSchedule& s, RowFn&& row_fn,
                         ProgressCounters& progress, obs::ExecObs& eo,
                         obs::Region kind, AbortFlag* external_abort = nullptr) {
   obs::SweepObs& so = eo.begin_sweep(kind, s);
-  const ExecStatus status = detail::exec_run_impl(
-      s, std::forward<RowFn>(row_fn), progress, external_abort, so);
+  detail::NoTail no_tail;
+  const ExecStatus status =
+      detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
+                            external_abort, so, nullptr, no_tail);
+  eo.end_sweep(kind, s);
+  return status;
+}
+
+/// Instrumented exec_run with a tail.
+template <class RowFn, class TailFn>
+ExecStatus exec_run_obs(const ExecSchedule& s, RowFn&& row_fn,
+                        ProgressCounters& progress, obs::ExecObs& eo,
+                        obs::Region kind, const ExecTail& tail,
+                        TailFn&& tail_fn, AbortFlag* external_abort = nullptr) {
+  obs::SweepObs& so = eo.begin_sweep(kind, s);
+  const ExecStatus status =
+      detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
+                            external_abort, so, &tail, tail_fn);
   eo.end_sweep(kind, s);
   return status;
 }

@@ -6,7 +6,7 @@
 // dimension, nonzeros per row (RD), symbolic symmetry (SP), and the level
 // structure class (few huge levels for grid PDEs, hundreds of small levels
 // for shell/filter problems, a handful of dense rows for power systems).
-// See DESIGN.md's substitution table.
+// The per-matrix analog parameters live in gen/suite.cpp.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,10 @@
 // One implementation keeps the tail policy — the small-tail cutoff, the
 // ER-style parallel partial sums, the ordered corner resolve — in a single
 // place, so the bitwise fused/unfused parity contract cannot drift.
+//
+// run_sweep is the one dispatch every scheduled factor sweep goes through
+// (forward, backward, panel and fused): fault hook, instrumentation or the
+// plain hot loop.
 #pragma once
 
 #include <span>
@@ -15,6 +19,33 @@
 #include "javelin/support/parallel.hpp"
 
 namespace javelin::detail {
+
+/// Run one scheduled sweep of `f` under its execution policy: with a fault
+/// hook installed, a guarded row function whose hook veto at `site` aborts
+/// the region; with an ExecObs attached, the instrumented region recorded
+/// under `region`; otherwise the plain region, whose void row function keeps
+/// every wait on the no-polling path. `tail` is empty or the
+/// (ExecTail, tail_fn) pair of exec_run's tail overload. Only the hooked
+/// form can return kAborted.
+template <class RowFn, class... Tail>
+ExecStatus run_sweep(const Factorization& f, const ExecSchedule& s,
+                     ProgressCounters& progress, obs::Region region,
+                     FaultSite site, RowFn row_fn, Tail&&... tail) {
+  if (const FaultHook& hook = f.opts.fault_hook) {
+    return exec_run(
+        s,
+        [&](index_t r, int t) -> bool {
+          row_fn(r, t);
+          return hook(site, r);
+        },
+        progress, std::forward<Tail>(tail)...);
+  }
+  if (f.opts.exec_obs != nullptr) {
+    return exec_run_obs(s, row_fn, progress, *f.opts.exec_obs, region,
+                        std::forward<Tail>(tail)...);
+  }
+  return exec_run(s, row_fn, progress, std::forward<Tail>(tail)...);
+}
 
 /// In-place P2P forward sweep on the permuted factor: on exit L x' = rhs,
 /// where `rhs(r)` yields row r's right-hand side (read before x[r] is
@@ -44,26 +75,12 @@ ExecStatus forward_sweep(const Factorization& f, RhsFn rhs,
   // lower_partial reads only columns < r, whose completion the schedule's
   // waits (or level barriers) guarantee.
   const ExecSchedule& fwd = runtime_fwd(f, ws.sched);
-  const auto forward_row = [&](index_t r) {
-    x[static_cast<std::size_t>(r)] = rhs(r) - lower_partial(lu, r, r, x, 0);
-  };
-  if (hook) {
-    const ExecStatus st = exec_run(
-        fwd,
-        [&](index_t r, int) -> bool {
-          forward_row(r);
-          return hook(FaultSite::kForwardRow, r);
-        },
-        ws.progress);
-    if (!st.ok()) return st;
-  } else if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        fwd, [&](index_t r, int) { forward_row(r); }, ws.progress,
-        *f.opts.exec_obs, obs::Region::kForward);
-  } else {
-    exec_run(
-        fwd, [&](index_t r, int) { forward_row(r); }, ws.progress);
-  }
+  const ExecStatus st = run_sweep(
+      f, fwd, ws.progress, obs::Region::kForward, FaultSite::kForwardRow,
+      [&](index_t r, int) {
+        x[static_cast<std::size_t>(r)] = rhs(r) - lower_partial(lu, r, r, x, 0);
+      });
+  if (!st.ok()) return st;
 
   if (n_lower == 0) return {};
   if (fwd.threads <= 1 || n_lower < 64) {
@@ -128,23 +145,10 @@ ExecStatus forward_sweep_panel(const Factorization& f, RhsFn rhs, value_t* x,
   };
 
   const ExecSchedule& fwd = runtime_fwd(f, ws.sched);
-  if (hook) {
-    const ExecStatus st = exec_run(
-        fwd,
-        [&](index_t r, int) -> bool {
-          forward_row(r, n);
-          return hook(FaultSite::kForwardRow, r);
-        },
-        ws.progress);
-    if (!st.ok()) return st;
-  } else if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        fwd, [&](index_t r, int) { forward_row(r, n); }, ws.progress,
-        *f.opts.exec_obs, obs::Region::kForward);
-  } else {
-    exec_run(
-        fwd, [&](index_t r, int) { forward_row(r, n); }, ws.progress);
-  }
+  const ExecStatus st =
+      run_sweep(f, fwd, ws.progress, obs::Region::kForward,
+                FaultSite::kForwardRow, [&](index_t r, int) { forward_row(r, n); });
+  if (!st.ok()) return st;
 
   if (n_lower == 0) return {};
   if (fwd.threads <= 1 || n_lower < 64) {

@@ -34,28 +34,10 @@ ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
 
 ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
                          SolveWorkspace& ws) {
-  const FaultHook& hook = f.opts.fault_hook;
-  if (hook) {
-    return exec_run(
-        runtime_bwd(f, ws.sched),
-        [&](index_t r, int) -> bool {
-          backward_row(f.lu, f.diag_pos, r, x);
-          return hook(FaultSite::kBackwardRow, r);
-        },
-        ws.progress);
-  }
-  if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        runtime_bwd(f, ws.sched),
-        [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-        ws.progress, *f.opts.exec_obs, obs::Region::kBackward);
-    return {};
-  }
-  exec_run(
-      runtime_bwd(f, ws.sched),
-      [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-      ws.progress);
-  return {};
+  return detail::run_sweep(
+      f, runtime_bwd(f, ws.sched), ws.progress, obs::Region::kBackward,
+      FaultSite::kBackwardRow,
+      [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); });
 }
 
 void trsv_forward_serial(const Factorization& f, std::span<value_t> x) {

@@ -29,26 +29,19 @@
 
 namespace javelin {
 
-/// Reusable scratch for repeated ilu_apply calls (permuted rhs/solution, the
-/// lower-stage partial sums, the P2P progress counters both sweeps re-arm
+/// Reusable scratch for repeated solves — ilu_apply, the panel applies and
+/// the fused ilu_apply_spmv: the permuted vector/panel being solved, the
+/// lower-stage partial sums, the progress counters every sweep re-arms
 /// instead of reallocating, and the retargeted-schedule cache the sweeps
-/// re-plan through when the runtime team differs from the factor-time
-/// plan). Kept outside the Factorization so multiple solves may share one
-/// immutable factor with private workspaces. Move-only: the counters are
-/// atomics.
+/// re-plan through when the runtime team differs from the factor-time plan
+/// (the fused pass keeps its retargeted SpMV chunks there too). Kept
+/// outside the Factorization so multiple solves may share one immutable
+/// factor with private workspaces. Move-only: the counters are atomics.
 struct SolveWorkspace {
   std::vector<value_t> x;          ///< permuted vector/panel being solved in place
   std::vector<value_t> lower_acc;  ///< partial sums of the lower-stage rows
   ProgressCounters progress;       ///< spin-wait counters reused every sweep
   ScheduleCache sched;             ///< runtime-retargeted schedules (lazy)
-
-  /// Second counter bank + out-of-place backward solution used only by the
-  /// single-region fused pass (fused.cpp): the forward sweep publishes on
-  /// progress_fwd while the backward sweep publishes on progress, and the
-  /// backward solve writes xb so concurrently-running forward rows keep
-  /// reading unclobbered forward values from x. Sized lazily by that path.
-  ProgressCounters progress_fwd;
-  std::vector<value_t> xb;
 
   void resize(index_t n, index_t n_lower) {
     x.resize(static_cast<std::size_t>(n));

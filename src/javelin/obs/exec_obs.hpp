@@ -40,8 +40,9 @@ namespace javelin::obs {
 
 /// Instrumented region kinds. Forward/backward cover both the scalar and
 /// the panel sweeps (same logical region, stats merge); kFused is the
-/// hand-rolled backward+SpMV overlap region, which reports thread-level
-/// counters only (no per-level attribution — its SpMV chunks have no level).
+/// backward sweep of the fused solve+SpMV with the SpMV as its exec_run
+/// tail — per-level attribution covers the backward levels, the tail's
+/// waits and rows count toward the thread totals only (they have no level).
 enum class Region : int {
   kFactor = 0,
   kCorner,

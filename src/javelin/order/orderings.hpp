@@ -4,7 +4,7 @@
 //
 // The paper uses SYMAMD, RCM, METIS nested dissection, natural order, and a
 // Dulmage–Mendelsohn step to cover the diagonal; all are implemented here
-// from scratch (see DESIGN.md substitution table).
+// from scratch, with no external ordering library.
 #pragma once
 
 #include <span>

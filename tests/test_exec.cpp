@@ -10,14 +10,23 @@
 //   * the barrier (CSR-LS) backend is bitwise-identical to the P2P backend
 //     and to the serial reference at every thread count, for ilu_apply, the
 //     fused apply+SpMV, and full Krylov trajectories;
-//   * set_exec_backend flips a factor between backends in place.
+//   * set_exec_backend flips a factor between backends in place;
+//   * an exec_run tail runs every tail row exactly once, only after the
+//     schedule rows it reads (P2P, barrier and hybrid schedules), and never
+//     after an abort.
+#include <cmath>
+#include <limits>
+#include <thread>
+
 #include "javelin/exec/run.hpp"
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/solver/krylov.hpp"
+#include "javelin/sparse/ops.hpp"
 #include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
+#include "javelin/tune/tune.hpp"
 #include "test_util.hpp"
 
 using namespace javelin;
@@ -217,6 +226,112 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
             name, threads);
 }
 
+/// exec_run's tail, driven with the fused-SpMV chunk layout over A's rows:
+/// every schedule row writes its output slot, which starts as NaN, and every
+/// tail row reads the slots of the schedule rows its columns depend on. A
+/// tail row that ran too early reads a NaN and is flagged — an ordering
+/// check that does not depend on values coinciding by chance of timing.
+/// Schedule rows burn a little time so that a tail chunk racing ahead of
+/// its producers finds them unfinished.
+void check_tail_run(const char* name, const ExecSchedule& s,
+                    const TwoStagePlan& plan, const CsrMatrix& a,
+                    index_t chunk) {
+  const std::size_t un = static_cast<std::size_t>(a.rows());
+  const std::vector<index_t> to_perm = invert_permutation(plan.perm);
+  const FusedApplySpmv fs = build_fused_apply_spmv(s, plan, a, chunk);
+  std::vector<value_t> out(un, std::numeric_limits<value_t>::quiet_NaN());
+  std::vector<int> runs(un, 0), early(un, 0);
+  ProgressCounters progress;
+  const auto tail_fn = [&](index_t row, int) {
+    ++runs[static_cast<std::size_t>(row)];
+    for (index_t col : a.row_cols(row)) {
+      if (std::isnan(out[static_cast<std::size_t>(
+              to_perm[static_cast<std::size_t>(col)])])) {
+        early[static_cast<std::size_t>(row)] = 1;
+      }
+    }
+  };
+  const ExecStatus st = exec_run(
+      s,
+      [&](index_t row, int) {
+        [[maybe_unused]] volatile int sink = 0;
+        for (int k = 0; k < 2000; ++k) sink = k;
+        out[static_cast<std::size_t>(row)] = 1.0;
+      },
+      progress, fs.exec_tail(), tail_fn);
+  CHECK_MSG(st.ok(), "%s tail T=%d chunk=%d status", name, s.threads,
+            static_cast<int>(chunk));
+  std::size_t once = 0, ordered = 0;
+  for (std::size_t i = 0; i < un; ++i) {
+    once += runs[i] == 1 ? 1 : 0;
+    ordered += early[i] == 0 ? 1 : 0;
+  }
+  CHECK_MSG(once == un, "%s tail T=%d chunk=%d: %zu of %zu rows ran once",
+            name, s.threads, static_cast<int>(chunk), once, un);
+  CHECK_MSG(ordered == un,
+            "%s tail T=%d chunk=%d: %zu rows read an unfinished row", name,
+            s.threads, static_cast<int>(chunk), un - ordered);
+
+  // Abort: the first row of thread 0 vetoes, every other row blocks until
+  // the veto is raised, so no thread can finish its items before the region
+  // is poisoned — the tail must not run at all, whatever the timing.
+  const index_t poisoned = s.serial_order.front();
+  CHECK_MSG(s.threads <= 1 ||
+                s.rows[static_cast<std::size_t>(s.item_ptr[static_cast<
+                    std::size_t>(s.thread_ptr[0])])] == poisoned,
+            "%s T=%d: serial_order[0] is not thread 0's first row", name,
+            s.threads);
+  if (s.threads > 1 &&
+      s.rows[static_cast<std::size_t>(
+          s.item_ptr[static_cast<std::size_t>(s.thread_ptr[0])])] !=
+          poisoned) {
+    return;  // the gate below would deadlock
+  }
+  AbortFlag flag;
+  std::fill(runs.begin(), runs.end(), 0);
+  const ExecStatus ab = exec_run(
+      s,
+      [&](index_t row, int) -> bool {
+        if (row == poisoned) return false;
+        while (!flag.aborted()) std::this_thread::yield();
+        out[static_cast<std::size_t>(row)] = 1.0;
+        return true;
+      },
+      progress, fs.exec_tail(), tail_fn, &flag);
+  CHECK_MSG(!ab.ok() && ab.row == poisoned,
+            "%s abort T=%d chunk=%d: row %lld, want %lld", name, s.threads,
+            static_cast<int>(chunk), static_cast<long long>(ab.row),
+            static_cast<long long>(poisoned));
+  std::size_t ran = 0;
+  for (const int c : runs) ran += static_cast<std::size_t>(c);
+  CHECK_MSG(ran == 0, "%s abort T=%d chunk=%d: %zu tail rows ran", name,
+            s.threads, static_cast<int>(chunk), ran);
+}
+
+void check_tail_ordering(const CsrMatrix& a) {
+  bool any_hybrid = false;
+  for (const int threads : {1, 2, 4, 8}) {
+    ThreadCountGuard guard(threads);
+    IluOptions opts;
+    opts.num_threads = threads;
+    opts.retarget_oversubscribed = false;
+    const Factorization f = ilu_factor(a, opts);
+    ExecSchedule barrier = f.bwd;
+    barrier.backend = ExecBackend::kBarrier;  // wait lists serve both
+    ExecSchedule hybrid = f.bwd;
+    apply_level_tags(hybrid, tune::derive_hybrid_tags(
+                                 hybrid, static_cast<index_t>(threads),
+                                 static_cast<index_t>(4 * threads)));
+    any_hybrid = hybrid.hybrid() || any_hybrid;
+    for (const index_t chunk : {index_t{1}, index_t{7}, index_t{1024}}) {
+      check_tail_run("p2p", f.bwd, f.plan, a, chunk);
+      check_tail_run("barrier", barrier, f.plan, a, chunk);
+      check_tail_run("hybrid", hybrid, f.plan, a, chunk);
+    }
+  }
+  CHECK_MSG(any_hybrid, "tail test never ran a hybrid schedule");
+}
+
 }  // namespace
 
 int main() {
@@ -239,6 +354,8 @@ int main() {
     check_backend_parity("grid", grid, threads);
     check_backend_parity("fem", fem, threads);
   }
+
+  check_tail_ordering(fem);
 
   // In-place backend flip: one factor, both backends, one workspace.
   {

@@ -75,7 +75,8 @@ void check_parity(const CsrMatrix& a, ExecBackend be, int t) {
   CHECK_MSG(eo.has(obs::Region::kForward) && eo.has(obs::Region::kBackward),
             "%s t=%d sweep stats", bname, t);
 
-  // Fused apply+SpMV: the hand-rolled region has its own instrumented body.
+  // Fused apply+SpMV: the backward sweep with its SpMV tail, instrumented
+  // through exec_run_obs under Region::kFused.
   const FusedApplySpmv fs_plain = build_fused_apply_spmv(f_plain, a);
   const FusedApplySpmv fs_obs = build_fused_apply_spmv(f_obs, a);
   std::vector<value_t> t_plain(r.size()), t_obs(r.size());
